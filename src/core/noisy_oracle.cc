@@ -4,22 +4,13 @@
 #include <cmath>
 #include <limits>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace robustqp {
 
 namespace {
 constexpr double kBudgetEps = 1e-9;
-
-/// FNV-1a over a string, mixed with a seed.
-uint64_t HashString(const std::string& s, uint64_t seed) {
-  uint64_t h = 1469598103934665603ull ^ seed;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 }  // namespace
 
 NoisyOracle::NoisyOracle(const Ess* ess, GridLoc qa, double delta,
@@ -31,7 +22,7 @@ NoisyOracle::NoisyOracle(const Ess* ess, GridLoc qa, double delta,
 
 double NoisyOracle::ErrorFactor(const Plan& plan) const {
   if (delta_ == 0.0) return 1.0;
-  const uint64_t h = HashString(plan.signature(), seed_);
+  const uint64_t h = Fnv1a(plan.signature(), kFnvOffsetBasis ^ seed_);
   // Uniform in [-1, 1] from the hash, then exponentiated into the
   // multiplicative band [1/(1+delta), (1+delta)].
   const double u =
@@ -58,19 +49,18 @@ ExecOutcome NoisyOracle::ExecuteSpill(const Plan& plan, int dim, double budget,
   ExecOutcome out;
   const int node_id = plan.EppNodeId(dim);
   RQP_CHECK(node_id >= 0);
+  const PlanNode& spilled = plan.node(node_id);
   const double factor = ErrorFactor(plan);
 
-  EssPoint base = qa_sel_;
+  EssPoint q = qa_sel_;
   for (int d = 0; d < ess_->dims(); ++d) {
     if (learned[static_cast<size_t>(d)] >= 0.0) {
-      base[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
+      q[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
     }
   }
   auto actual_spill_cost = [&](double sel) {
-    EssPoint q = base;
     q[static_cast<size_t>(dim)] = sel;
-    return ess_->optimizer().CostPlan(plan, q).cost[static_cast<size_t>(node_id)] *
-           factor;
+    return ess_->optimizer().SubtreeCost(spilled, q) * factor;
   };
 
   const double true_sel = qa_sel_[static_cast<size_t>(dim)];

@@ -41,22 +41,22 @@ ExecOutcome SimulatedOracle::ExecuteSpill(const Plan& plan, int dim,
   ExecOutcome out;
   const int node_id = plan.EppNodeId(dim);
   RQP_CHECK(node_id >= 0);
+  const PlanNode& spilled = plan.node(node_id);
 
   // The spilled subtree contains, besides dim itself, only already-learnt
   // epps (Section 3.1.3's ordering rule), so its cost is a monotone
   // function of dim's selectivity alone. Evaluate it at a point that fixes
   // learnt dims to their exact values; remaining dims are irrelevant to
   // the subtree and pinned to q_a for definiteness.
-  EssPoint base = qa_sel_;
+  EssPoint q = qa_sel_;
   for (int d = 0; d < ess_->dims(); ++d) {
     if (learned[static_cast<size_t>(d)] >= 0.0) {
-      base[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
+      q[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
     }
   }
   auto spill_cost = [&](double sel) {
-    EssPoint q = base;
     q[static_cast<size_t>(dim)] = sel;
-    return ess_->optimizer().CostPlan(plan, q).cost[static_cast<size_t>(node_id)];
+    return ess_->optimizer().SubtreeCost(spilled, q);
   };
 
   const double true_sel = qa_sel_[static_cast<size_t>(dim)];
@@ -157,21 +157,20 @@ ExecOutcome SimulatedOracle::ExecuteSpillFaulted(
   FaultInjector& inj = FaultInjector::Global();
   const int node_id = plan.EppNodeId(dim);
   RQP_CHECK(node_id >= 0);
+  const PlanNode& spilled = plan.node(node_id);
 
-  EssPoint base = qa_sel_;
+  EssPoint q = qa_sel_;
   for (int d = 0; d < ess_->dims(); ++d) {
     if (learned[static_cast<size_t>(d)] >= 0.0) {
-      base[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
+      q[static_cast<size_t>(d)] = learned[static_cast<size_t>(d)];
     }
   }
   // Each evaluation draws its own corruption, so a corrupted cost model is
   // genuinely non-monotone across the scan below — which is exactly what
   // the PCM monitor exists to catch.
   auto spill_cost = [&](double sel) {
-    EssPoint q = base;
     q[static_cast<size_t>(dim)] = sel;
-    double c =
-        ess_->optimizer().CostPlan(plan, q).cost[static_cast<size_t>(node_id)];
+    double c = ess_->optimizer().SubtreeCost(spilled, q);
     const FaultAction act = inj.Evaluate(fault_site::kOracleCostModel);
     if (act.kind == FaultKind::kCorrupt) {
       c *= act.magnitude;
@@ -181,7 +180,7 @@ ExecOutcome SimulatedOracle::ExecuteSpillFaulted(
   };
 
   std::vector<int> sites;
-  CollectFaultSites(plan.node(node_id), &sites);
+  CollectFaultSites(spilled, &sites);
   sites.push_back(fault_site::kExecSpillRun);
 
   const double true_sel = qa_sel_[static_cast<size_t>(dim)];

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "common/status.h"
+#include "optimizer/plan_set_coster.h"
 
 namespace robustqp {
 
@@ -61,20 +62,27 @@ int PlanDiagram::Reduce(double lambda) {
   const std::vector<const Plan*> plans = DistinctPlans();
   const int before = static_cast<int>(plans.size());
 
-  // coverage[p] = locations plan p can own within the threshold.
+  // coverage[p] = locations plan p can own within the threshold, in
+  // ascending order (the serial coster hands blocks over in order).
   std::vector<std::vector<int64_t>> covers(plans.size());
   std::vector<std::vector<double>> cover_costs(plans.size());
-  for (size_t p = 0; p < plans.size(); ++p) {
-    covers[p].reserve(static_cast<size_t>(total) / plans.size() + 1);
-    for (int64_t lin = 0; lin < total; ++lin) {
-      const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
-      const double c = ess_->optimizer().PlanCost(*plans[p], q);
-      if (c <= ess_->OptimalCost(lin) * (1.0 + lambda) * (1.0 + 1e-12)) {
-        covers[p].push_back(lin);
-        cover_costs[p].push_back(c);
-      }
-    }
-  }
+  PlanSetCoster(ess_->optimizer(), plans)
+      .ForEachBlock(
+          total,
+          [&](int64_t lin) { return ess_->SelAt(ess_->FromLinear(lin)); },
+          /*pool=*/nullptr,
+          [&](int64_t begin, int64_t end, const double* const* costs) {
+            for (size_t p = 0; p < plans.size(); ++p) {
+              for (int64_t lin = begin; lin < end; ++lin) {
+                const double c = costs[p][lin - begin];
+                if (c <= ess_->OptimalCost(lin) * (1.0 + lambda) *
+                             (1.0 + 1e-12)) {
+                  covers[p].push_back(lin);
+                  cover_costs[p].push_back(c);
+                }
+              }
+            }
+          });
 
   // Lazy greedy set cover.
   std::vector<char> covered(static_cast<size_t>(total), 0);

@@ -1,6 +1,7 @@
 #include "core/planbouquet.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <set>
 
@@ -8,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "core/plan_diagram.h"
 #include "core/recovery.h"
+#include "optimizer/plan_set_coster.h"
 
 namespace robustqp {
 
@@ -44,56 +46,51 @@ PlanBouquet::PlanBouquet(const Ess* ess, Options options)
       // Anorexic reduction as per-contour greedy set cover: pick plans
       // until every frontier location is covered by a plan whose cost
       // there stays within (1 + lambda) of the contour budget.
-      const double budget = ess->ContourCost(i) * (1.0 + lambda);
-      // coverage[p][l] = plan p covers frontier location l. Pure costing
-      // work, parallelized over plans.
-      std::vector<EssPoint> points(frontier.size());
-      for (size_t l = 0; l < frontier.size(); ++l) {
-        points[l] = ess->SelAt(ess->FromLinear(frontier[l]));
-      }
-      std::vector<std::vector<char>> coverage(posp.size());
-      const auto fill = [&](size_t begin, size_t end) {
-        for (size_t p = begin; p < end; ++p) {
-          coverage[p].resize(frontier.size());
-          for (size_t l = 0; l < frontier.size(); ++l) {
-            coverage[p][l] = ess->optimizer().PlanCost(*posp[p], points[l]) <=
-                                     budget * (1.0 + 1e-12)
-                                 ? 1
-                                 : 0;
-          }
+      const double limit =
+          ess->ContourCost(i) * (1.0 + lambda) * (1.0 + 1e-12);
+      // coverage: per plan, a bitset over the frontier locations the plan
+      // covers, filled by batched costing of the whole contour set on the
+      // pool. A coster block is one 64-bit word, so concurrent blocks never
+      // write the same word.
+      static_assert(PlanSetCoster::kBlock == 64);
+      const size_t words = (frontier.size() + 63) / 64;
+      std::vector<uint64_t> coverage(posp.size() * words, 0);
+      PlanSetCoster(ess->optimizer(), posp)
+          .ForEachBlock(
+              static_cast<int64_t>(frontier.size()),
+              [&](int64_t l) {
+                return ess->SelAt(
+                    ess->FromLinear(frontier[static_cast<size_t>(l)]));
+              },
+              &pool,
+              [&](int64_t begin, int64_t end, const double* const* costs) {
+                for (size_t p = 0; p < posp.size(); ++p) {
+                  uint64_t bits = 0;
+                  for (int64_t k = 0; k < end - begin; ++k) {
+                    bits |= uint64_t{costs[p][k] <= limit} << k;
+                  }
+                  coverage[p * words + static_cast<size_t>(begin / 64)] = bits;
+                }
+              });
+      // Lazy greedy (gains only shrink as locations get covered, so a
+      // stale priority-queue entry is an upper bound).
+      std::vector<uint64_t> covered(words, 0);
+      const auto gain_of = [&](size_t p) {
+        int gain = 0;
+        for (size_t w = 0; w < words; ++w) {
+          gain += std::popcount(coverage[p * words + w] & ~covered[w]);
         }
+        return gain;
       };
-      if (pool.num_threads() <= 1 || posp.size() * frontier.size() < 4096) {
-        fill(0, posp.size());
-      } else {
-        ParallelFor(&pool, static_cast<int64_t>(posp.size()),
-                    [&](int /*worker*/, int64_t begin, int64_t end) {
-                      fill(static_cast<size_t>(begin), static_cast<size_t>(end));
-                    });
-      }
-      // Sparse cover lists + lazy greedy (gains only shrink as locations
-      // get covered, so a stale priority-queue entry is an upper bound).
-      std::vector<std::vector<int>> covers(posp.size());
-      for (size_t p = 0; p < posp.size(); ++p) {
-        for (size_t l = 0; l < frontier.size(); ++l) {
-          if (coverage[p][l]) covers[p].push_back(static_cast<int>(l));
-        }
-      }
-      std::vector<char> covered(frontier.size(), 0);
       size_t remaining = frontier.size();
       std::priority_queue<std::pair<int, size_t>> pq;
-      for (size_t p = 0; p < posp.size(); ++p) {
-        pq.push({static_cast<int>(covers[p].size()), p});
-      }
+      for (size_t p = 0; p < posp.size(); ++p) pq.push({gain_of(p), p});
       std::vector<const Plan*> chosen;
       while (remaining > 0) {
         RQP_CHECK(!pq.empty());
-        auto [stale_gain, p] = pq.top();
+        const size_t p = pq.top().second;
         pq.pop();
-        int gain = 0;
-        for (int l : covers[p]) {
-          if (!covered[static_cast<size_t>(l)]) ++gain;
-        }
+        const int gain = gain_of(p);
         if (!pq.empty() && gain < pq.top().first) {
           pq.push({gain, p});
           continue;
@@ -102,12 +99,10 @@ PlanBouquet::PlanBouquet(const Ess* ess, Options options)
         // greedy step always makes progress.
         RQP_CHECK(gain > 0);
         chosen.push_back(posp[p]);
-        for (int l : covers[p]) {
-          if (!covered[static_cast<size_t>(l)]) {
-            covered[static_cast<size_t>(l)] = 1;
-            --remaining;
-          }
+        for (size_t w = 0; w < words; ++w) {
+          covered[w] |= coverage[p * words + w];
         }
+        remaining -= static_cast<size_t>(gain);
       }
       contour_sets_[static_cast<size_t>(i)] = std::move(chosen);
     }

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "ess/ess.h"
 
@@ -39,15 +40,6 @@ constexpr const char kChecksumTag[] = "CKSUM ";
 constexpr size_t kMaxPlanChildren = 4096;
 constexpr size_t kMaxPlans = 1000000;
 constexpr int kMaxPointsPerDim = 4096;
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void WriteNode(std::ostream& os, const PlanNode& node) {
   switch (node.op) {

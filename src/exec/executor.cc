@@ -5,6 +5,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "exec/batch_engine.h"
 #include "exec/cost_ledger.h"
@@ -224,13 +225,12 @@ JoinKeys ResolveKeys(const Query& query, const Catalog& catalog,
 
 struct KeyHash {
   size_t operator()(const std::vector<double>& k) const {
-    size_t h = 1469598103934665603ull;
+    uint64_t h = kFnvOffsetBasis;
     for (double v : k) {
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(v));
       __builtin_memcpy(&bits, &v, sizeof(bits));
-      h ^= bits;
-      h *= 1099511628211ull;
+      h = FnvMix(h, bits);
     }
     return h;
   }

@@ -6,6 +6,7 @@
 #include "common/thread_pool.h"
 #include "core/oracle.h"
 #include "feedback/warm_start.h"
+#include "optimizer/plan_set_coster.h"
 
 namespace robustqp {
 
@@ -150,25 +151,30 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
 
 namespace {
 
-/// Shared shape of the two native baselines: fill subopt[lin] via
-/// `subopt_at`, fanned out in fixed-size chunks, then reduce serially.
+/// Shared shape of the two native baselines: cost `plans` at every
+/// location on the pool, set subopt[lin] = subopt(worst plan cost at lin,
+/// optimal cost at lin), then reduce serially.
 SuboptimalityStats EvaluateNative(
     const Ess& ess, const EvalOptions& opts,
-    const std::function<double(int64_t)>& subopt_at) {
+    const std::vector<const Plan*>& plans,
+    const std::function<double(double, double)>& subopt) {
   SuboptimalityStats stats;
   const int64_t total = ess.num_locations();
   stats.subopt.resize(static_cast<size_t>(total));
   ThreadPool pool(ResolveThreads(opts));
-  constexpr int64_t kChunk = 256;
-  ParallelMapReduce<int>(
-      &pool, total, kChunk, 0,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t lin = begin; lin < end; ++lin) {
-          stats.subopt[static_cast<size_t>(lin)] = subopt_at(lin);
-        }
-        return 0;
-      },
-      [](int acc, int) { return acc; });
+  PlanSetCoster(ess.optimizer(), plans)
+      .ForEachBlock(
+          total, [&](int64_t lin) { return ess.SelAt(ess.FromLinear(lin)); },
+          &pool, [&](int64_t begin, int64_t end, const double* const* costs) {
+            for (int64_t lin = begin; lin < end; ++lin) {
+              double worst_cost = 0.0;
+              for (size_t p = 0; p < plans.size(); ++p) {
+                worst_cost = std::max(worst_cost, costs[p][lin - begin]);
+              }
+              stats.subopt[static_cast<size_t>(lin)] =
+                  subopt(worst_cost, ess.OptimalCost(lin));
+            }
+          });
   ReduceStats(&stats);
   return stats;
 }
@@ -177,27 +183,20 @@ SuboptimalityStats EvaluateNative(
 
 SuboptimalityStats EvaluateNativeWorstCase(const Ess& ess,
                                            const EvalOptions& opts) {
-  const std::vector<const Plan*>& posp = ess.pool().plans();
-  return EvaluateNative(ess, opts, [&](int64_t lin) {
-    const EssPoint q = ess.SelAt(ess.FromLinear(lin));
-    // Hoist the optimal cost out of the POSP loop: take the max raw plan
-    // cost first, one division per location.
-    double worst_cost = 0.0;
-    for (const Plan* p : posp) {
-      worst_cost = std::max(worst_cost, ess.optimizer().PlanCost(*p, q));
-    }
-    return std::max(1.0, worst_cost / ess.OptimalCost(lin));
-  });
+  return EvaluateNative(ess, opts, ess.pool().plans(),
+                        [](double worst_cost, double opt_cost) {
+                          return std::max(1.0, worst_cost / opt_cost);
+                        });
 }
 
 SuboptimalityStats EvaluateNativeAtEstimate(const Ess& ess,
                                             const EvalOptions& opts) {
   const EssPoint qe = ess.optimizer().estimator().NativeEstimatePoint();
   const std::unique_ptr<Plan> plan = ess.optimizer().Optimize(qe);
-  return EvaluateNative(ess, opts, [&](int64_t lin) {
-    const EssPoint q = ess.SelAt(ess.FromLinear(lin));
-    return ess.optimizer().PlanCost(*plan, q) / ess.OptimalCost(lin);
-  });
+  return EvaluateNative(ess, opts, {plan.get()},
+                        [](double cost, double opt_cost) {
+                          return cost / opt_cost;
+                        });
 }
 
 std::vector<RepeatedRunStats> EvaluateRepeated(

@@ -35,9 +35,21 @@ class CardinalityEstimator {
   /// value if the filter is an error-prone predicate, else the native
   /// histogram estimate.
   double FilterSelectivityAt(int filter_idx, const EssPoint& q) const {
-    const int dim = query_->EppDimensionOfFilter(filter_idx);
+    const int dim = FilterEppDim(filter_idx);
     return dim >= 0 ? q[static_cast<size_t>(dim)]
                     : filter_sel_[static_cast<size_t>(filter_idx)];
+  }
+
+  /// ESS dimension of filter `filter_idx`, or -1
+  /// (Query::EppDimensionOfFilter, precomputed at construction).
+  int FilterEppDim(int filter_idx) const {
+    return filter_dim_[static_cast<size_t>(filter_idx)];
+  }
+
+  /// ESS dimension of join `join_idx`, or -1 (Query::EppDimensionOfJoin,
+  /// precomputed at construction).
+  int JoinEppDim(int join_idx) const {
+    return join_dim_[static_cast<size_t>(join_idx)];
   }
 
   /// Estimated output cardinality of the scan of table `table_idx` after
@@ -59,7 +71,7 @@ class CardinalityEstimator {
   /// Selectivity of join `join_idx` at ESS location `q`: the injected
   /// value if the join is an epp, else the native estimate.
   double JoinSelectivity(int join_idx, const EssPoint& q) const {
-    const int dim = query_->EppDimensionOfJoin(join_idx);
+    const int dim = JoinEppDim(join_idx);
     return dim >= 0 ? q[static_cast<size_t>(dim)]
                     : native_join_sel_[static_cast<size_t>(join_idx)];
   }
@@ -75,6 +87,8 @@ class CardinalityEstimator {
   std::vector<double> raw_rows_;         // per table index
   std::vector<double> filter_sel_;       // per filter index
   std::vector<double> native_join_sel_;  // per join index
+  std::vector<int> filter_dim_;          // per filter index: epp dim or -1
+  std::vector<int> join_dim_;            // per join index: epp dim or -1
 };
 
 }  // namespace robustqp

@@ -180,7 +180,7 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
     const uint64_t m = uint64_t{1} << t;
     int leaf_state = 0;
     for (int f : table_filters_[static_cast<size_t>(t)]) {
-      const int dim = query_->EppDimensionOfFilter(f);
+      const int dim = estimator_.FilterEppDim(f);
       if (dim >= 0 && unlearned[static_cast<size_t>(dim)]) {
         leaf_state = dim + 1;
         break;
@@ -217,7 +217,7 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
           ++num_cross;
           single_cross = j;
           if (node_first == 0) {
-            const int dim = query_->EppDimensionOfJoin(j);
+            const int dim = estimator_.JoinEppDim(j);
             if (dim >= 0 && unlearned[static_cast<size_t>(dim)]) {
               node_first = dim + 1;
             }

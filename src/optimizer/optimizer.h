@@ -78,12 +78,19 @@ class Optimizer {
   /// Costs an arbitrary plan of this query at `q`.
   PlanCosting CostPlan(const Plan& plan, const EssPoint& q) const;
 
-  /// Total cost only — allocation-free fast path (hot in contour
-  /// coverage computation and exhaustive MSO sweeps).
+  /// Total cost only — allocation-free fast path. Many plans at many
+  /// points are cheaper through PlanSetCoster, which returns the same bits.
   double PlanCost(const Plan& plan, const EssPoint& q) const {
+    return SubtreeCost(plan.root(), q);
+  }
+
+  /// Cumulative cost of the subtree rooted at `node` (a node of one of
+  /// this query's plans): bitwise CostPlan(plan, q).cost[node.id], without
+  /// allocating. The spill oracles' binary searches probe it.
+  double SubtreeCost(const PlanNode& node, const EssPoint& q) const {
     double rows = 0.0;
     double cost = 0.0;
-    CostNodeFast(plan.root(), q, &rows, &cost);
+    CostNodeFast(node, q, &rows, &cost);
     return cost;
   }
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 
+#include "common/hash.h"
 #include "storage/mmap_file.h"
 
 namespace robustqp {
@@ -20,16 +21,6 @@ constexpr char kHeadMagic[8] = {'R', 'Q', 'P', 'C', 'O', 'L', 'F', '1'};
 constexpr char kTailMagic[8] = {'R', 'Q', 'P', 'C', 'O', 'L', 'F', 'T'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kTailBytes = 32;  // footer_off, footer_len, fnv, magic
-
-/// Same checksum ess_io uses for its persisted surfaces.
-uint64_t Fnv1a(const uint8_t* p, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Little-endian append-only byte buffer for the footer blob.
 class ByteWriter {
@@ -211,8 +202,7 @@ Status FinishFile(std::ofstream* os, const std::string& path,
   ByteWriter tail;
   tail.U64(footer_off);
   tail.U64(footer.size());
-  tail.U64(Fnv1a(reinterpret_cast<const uint8_t*>(footer.data()),
-                 footer.size()));
+  tail.U64(Fnv1a(footer.data(), footer.size()));
   std::string t = tail.data();
   t.append(kTailMagic, sizeof(kTailMagic));
   os->write(t.data(), static_cast<std::streamsize>(t.size()));

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <queue>
 #include <set>
 
 #include "core/alignedbound.h"
@@ -21,6 +22,7 @@
 #include "core/planbouquet.h"
 #include "core/spillbound.h"
 #include "harness/evaluator.h"
+#include "server/context_cache.h"
 #include "test_util.h"
 
 namespace robustqp {
@@ -163,6 +165,84 @@ TEST_F(PlanBouquetTest, StepsAreContourOrdered) {
     EXPECT_GE(r.steps[i].contour, r.steps[i - 1].contour);
   }
   EXPECT_TRUE(r.steps.back().completed);
+}
+
+/// PlanBouquet's contour set built pair by pair: one PlanCost per (POSP
+/// plan, frontier location), then the lazy greedy cover over index lists.
+/// The oracle for the batched, bitset-based construction.
+std::vector<const Plan*> ReferenceContourSet(const Ess& ess, int i,
+                                             double lambda) {
+  const std::vector<int64_t>& frontier = ess.FrontierLocations(i);
+  std::vector<const Plan*> posp = ess.ContourPlans(i);
+  if (posp.size() <= 1) return posp;
+  const double budget = ess.ContourCost(i) * (1.0 + lambda);
+  std::vector<std::vector<int>> covers(posp.size());
+  for (size_t p = 0; p < posp.size(); ++p) {
+    for (size_t l = 0; l < frontier.size(); ++l) {
+      const EssPoint q = ess.SelAt(ess.FromLinear(frontier[l]));
+      if (ess.optimizer().PlanCost(*posp[p], q) <= budget * (1.0 + 1e-12)) {
+        covers[p].push_back(static_cast<int>(l));
+      }
+    }
+  }
+  std::vector<char> covered(frontier.size(), 0);
+  size_t remaining = frontier.size();
+  std::priority_queue<std::pair<int, size_t>> pq;
+  for (size_t p = 0; p < posp.size(); ++p) {
+    pq.push({static_cast<int>(covers[p].size()), p});
+  }
+  std::vector<const Plan*> chosen;
+  while (remaining > 0) {
+    auto [stale_gain, p] = pq.top();
+    pq.pop();
+    int gain = 0;
+    for (int l : covers[p]) gain += covered[static_cast<size_t>(l)] ? 0 : 1;
+    if (!pq.empty() && gain < pq.top().first) {
+      pq.push({gain, p});
+      continue;
+    }
+    chosen.push_back(posp[p]);
+    for (int l : covers[p]) {
+      if (!covered[static_cast<size_t>(l)]) {
+        covered[static_cast<size_t>(l)] = 1;
+        --remaining;
+      }
+    }
+  }
+  return chosen;
+}
+
+void ExpectContourSetsMatchReference(const Ess& ess, const std::string& what) {
+  for (double lambda : {0.2, 0.5}) {
+    const PlanBouquet pb(&ess, {lambda, true});
+    int rho = 0;
+    for (int i = 0; i < ess.num_contours(); ++i) {
+      const std::vector<const Plan*> ref = ReferenceContourSet(ess, i, lambda);
+      EXPECT_EQ(pb.ContourSet(i), ref)
+          << what << " lambda " << lambda << " contour " << i;
+      rho = std::max(rho, static_cast<int>(ref.size()));
+    }
+    EXPECT_EQ(pb.rho(), rho) << what;
+  }
+}
+
+TEST_F(PlanBouquetTest, ContourSetsMatchPerPairReference) {
+  ExpectContourSetsMatchReference(*bundle_->ess, "star 2D");
+  EssBundle branch = MakeEss(3, true, 10);
+  ExpectContourSetsMatchReference(*branch.ess, "branch 3D");
+}
+
+TEST(PlanBouquetSuiteTest, ContourSetsMatchPerPairReference) {
+  for (const char* id : {"3D_Q91", "4D_Q91", "5D_Q91"}) {
+    for (const CostModel& cm :
+         {CostModel::PostgresFlavour(), CostModel::CommercialFlavour()}) {
+      Ess::Config config;
+      config.points_per_dim = 6;
+      config.cost_model = cm;
+      const auto entry = *ContextCache::Default().Get(id, config);
+      ExpectContourSetsMatchReference(*entry->ess, id);
+    }
+  }
 }
 
 // --- SpillBound ----------------------------------------------------------
@@ -362,6 +442,36 @@ TEST(NativeBaselineTest, RobustAlgorithmsBeatNativeWorstCase) {
   // The whole point of the paper: bounded discovery beats worst-case
   // native optimization (which is unbounded as the ESS grows).
   EXPECT_LT(s_sb.mso, worst.mso);
+}
+
+TEST(NativeBaselineTest, MatchesPerPairReferenceBitwise) {
+  // The batched sweeps against one PlanCost per (plan, location), at one
+  // and three threads.
+  EssBundle b = MakeEss(3, true, 9);
+  const Ess& ess = *b.ess;
+  const Optimizer& opt = ess.optimizer();
+  const std::unique_ptr<Plan> est_plan =
+      opt.Optimize(opt.estimator().NativeEstimatePoint());
+  for (int threads : {1, 3}) {
+    EvalOptions opts;
+    opts.num_threads = threads;
+    const SuboptimalityStats worst = EvaluateNativeWorstCase(ess, opts);
+    const SuboptimalityStats at_est = EvaluateNativeAtEstimate(ess, opts);
+    for (int64_t lin = 0; lin < ess.num_locations(); ++lin) {
+      const EssPoint q = ess.SelAt(ess.FromLinear(lin));
+      double worst_cost = 0.0;
+      for (const Plan* p : ess.pool().plans()) {
+        worst_cost = std::max(worst_cost, opt.PlanCost(*p, q));
+      }
+      const size_t i = static_cast<size_t>(lin);
+      ASSERT_EQ(worst.subopt[i],
+                std::max(1.0, worst_cost / ess.OptimalCost(lin)))
+          << lin;
+      ASSERT_EQ(at_est.subopt[i],
+                opt.PlanCost(*est_plan, q) / ess.OptimalCost(lin))
+          << lin;
+    }
+  }
 }
 
 // --- Evaluator utilities -------------------------------------------------

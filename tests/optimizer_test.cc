@@ -1,23 +1,30 @@
 // Tests for the optimizer substrate: cardinality estimation with
 // selectivity injection, DP optimality against brute-force plan
-// enumeration, the constrained spill-dimension search, and the Plan Cost
-// Monotonicity property (Eq. (5)) that underpins every MSO guarantee.
+// enumeration, the constrained spill-dimension search, the Plan Cost
+// Monotonicity property (Eq. (5)) that underpins every MSO guarantee, and
+// the batched PlanSetCoster against per-pair PlanCost.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/plan_set_coster.h"
+#include "server/context_cache.h"
 #include "test_util.h"
+#include "workloads/queries.h"
 
 namespace robustqp {
 namespace {
 
 using testing_util::MakeBranchQuery;
+using testing_util::MakeMixedEppQuery;
 using testing_util::MakeStarQuery;
 using testing_util::MakeTinyCatalog;
 
@@ -367,6 +374,179 @@ TEST_F(OptimizerTest, CommercialFlavourDiffers) {
   // Costs must differ across flavours even if the plan shape coincides.
   EXPECT_NE(pg.PlanCost(*p1, inj), com.PlanCost(*p1, inj));
 }
+
+// --- PlanSetCoster: batched costing, bitwise equal to PlanCost ----------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// costs[p * points.size() + i] = the coster's cost of plan p at points[i].
+std::vector<double> CostMatrix(const PlanSetCoster& coster,
+                               const std::vector<EssPoint>& points,
+                               ThreadPool* pool) {
+  const size_t n = points.size();
+  std::vector<double> costs(static_cast<size_t>(coster.num_plans()) * n, -1.0);
+  coster.ForEachBlock(
+      static_cast<int64_t>(n),
+      [&](int64_t i) { return points[static_cast<size_t>(i)]; }, pool,
+      [&](int64_t begin, int64_t end, const double* const* block) {
+        for (size_t p = 0; p < static_cast<size_t>(coster.num_plans()); ++p) {
+          for (int64_t i = begin; i < end; ++i) {
+            costs[p * n + static_cast<size_t>(i)] = block[p][i - begin];
+          }
+        }
+      });
+  return costs;
+}
+
+/// Number of (plan, point) pairs where the coster's bits differ from
+/// PlanCost's.
+int64_t CountMismatches(const Optimizer& opt,
+                        const std::vector<const Plan*>& plans,
+                        const std::vector<EssPoint>& points,
+                        const std::vector<double>& costs) {
+  int64_t mismatches = 0;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (Bits(costs[p * points.size() + i]) !=
+          Bits(opt.PlanCost(*plans[p], points[i]))) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+std::vector<EssPoint> RandomPoints(int dims, int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EssPoint> points(static_cast<size_t>(n),
+                               EssPoint(static_cast<size_t>(dims)));
+  for (EssPoint& q : points) {
+    for (double& v : q) v = std::pow(10.0, rng.UniformDouble(-5.0, 0.0));
+  }
+  return points;
+}
+
+/// Every node's fast subtree cost against CostPlan's per-node cost.
+void ExpectSubtreeCostsMatch(const Optimizer& opt, const Plan& plan,
+                             const EssPoint& q) {
+  const PlanCosting costing = opt.CostPlan(plan, q);
+  for (int id = 0; id < plan.num_nodes(); ++id) {
+    ASSERT_EQ(Bits(opt.SubtreeCost(plan.node(id), q)),
+              Bits(costing.cost[static_cast<size_t>(id)]))
+        << "node " << id << " of " << plan.signature();
+  }
+}
+
+TEST_F(OptimizerTest, PlanSetCosterMatchesPlanCostMixedEpps) {
+  // Filter and join epps, all join operators the tiny catalog admits.
+  const Query q = MakeMixedEppQuery();
+  Optimizer opt(catalog_.get(), &q);
+  const std::vector<std::unique_ptr<Plan>> owned =
+      opt.OptimizeTopK({1e-3, 0.1, 0.5}, 40);
+  std::vector<const Plan*> plans;
+  for (const auto& p : owned) plans.push_back(p.get());
+  // 150 points: two full blocks and a partial one.
+  const std::vector<EssPoint> points = RandomPoints(q.num_epps(), 150, 7);
+  const PlanSetCoster coster(opt, plans);
+  EXPECT_EQ(coster.num_plans(), static_cast<int>(plans.size()));
+  EXPECT_EQ(CountMismatches(opt, plans, points,
+                            CostMatrix(coster, points, nullptr)),
+            0);
+  for (const EssPoint& point : points) {
+    for (const Plan* plan : plans) ExpectSubtreeCostsMatch(opt, *plan, point);
+  }
+}
+
+TEST_F(OptimizerTest, PlanSetCosterHandlesEmptyInputs) {
+  const Query q = MakeStarQuery(2);
+  Optimizer opt(catalog_.get(), &q);
+  const std::unique_ptr<Plan> plan = opt.Optimize({0.1, 0.1});
+  const PlanSetCoster coster(opt, {plan.get()});
+  int calls = 0;
+  coster.ForEachBlock(
+      0, [](int64_t) { return EssPoint{}; }, nullptr,
+      [&](int64_t, int64_t, const double* const*) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  const PlanSetCoster none(opt, {});
+  EXPECT_EQ(none.num_nodes(), 0);
+  EXPECT_TRUE(CostMatrix(none, RandomPoints(2, 5, 1), nullptr).empty());
+}
+
+class PlanSetCosterSuiteTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  const Ess& ess() {
+    const Query probe = MakeSuiteQuery(GetParam());
+    Ess::Config config;
+    config.points_per_dim = probe.num_epps() == 3   ? 14
+                            : probe.num_epps() == 4 ? 8
+                                                    : 6;
+    entry_ = *ContextCache::Default().Get(GetParam(), config);
+    return *entry_->ess;
+  }
+  std::shared_ptr<const ContextCache::Entry> entry_;
+};
+
+TEST_P(PlanSetCosterSuiteTest, BitwiseEqualsPlanCostOnEveryContour) {
+  // Every (POSP plan, frontier location) pair of every contour — exactly
+  // the pairs PlanBouquet's coverage fill costs.
+  const Ess& e = ess();
+  ThreadPool pool(3);
+  int64_t pairs = 0;
+  for (int i = 0; i < e.num_contours(); ++i) {
+    const std::vector<const Plan*> posp = e.ContourPlans(i);
+    std::vector<EssPoint> points;
+    for (int64_t lin : e.FrontierLocations(i)) {
+      points.push_back(e.SelAt(e.FromLinear(lin)));
+    }
+    const PlanSetCoster coster(e.optimizer(), posp);
+    EXPECT_EQ(CountMismatches(e.optimizer(), posp, points,
+                              CostMatrix(coster, points, &pool)),
+              0)
+        << GetParam() << " contour " << i;
+    pairs += static_cast<int64_t>(posp.size() * points.size());
+  }
+  EXPECT_GT(pairs, 0);
+}
+
+TEST_P(PlanSetCosterSuiteTest, SerialAndPooledAgree) {
+  const Ess& e = ess();
+  const std::vector<const Plan*>& plans = e.pool().plans();
+  std::vector<EssPoint> points;
+  for (int64_t lin = 0; lin < e.num_locations(); ++lin) {
+    points.push_back(e.SelAt(e.FromLinear(lin)));
+  }
+  const PlanSetCoster coster(e.optimizer(), plans);
+  // Shared subtrees are costed once.
+  int tree_nodes = 0;
+  for (const Plan* p : plans) tree_nodes += p->num_nodes();
+  EXPECT_LT(coster.num_nodes(), tree_nodes);
+  // Every root keeps its slot to the end; interior slots are reused.
+  EXPECT_GE(coster.num_slots(), coster.num_plans());
+  EXPECT_LT(coster.num_slots(), coster.num_nodes());
+  const std::vector<double> serial = CostMatrix(coster, points, nullptr);
+  for (int threads : {2, 3}) {
+    ThreadPool pool(threads);
+    const std::vector<double> pooled = CostMatrix(coster, points, &pool);
+    ASSERT_EQ(serial.size(), pooled.size());
+    int64_t differ = 0;
+    for (size_t k = 0; k < serial.size(); ++k) {
+      if (Bits(serial[k]) != Bits(pooled[k])) ++differ;
+    }
+    EXPECT_EQ(differ, 0) << threads << " threads";
+  }
+}
+
+TEST_P(PlanSetCosterSuiteTest, SubtreeCostMatchesCostPlan) {
+  const Ess& e = ess();
+  for (const EssPoint& q : RandomPoints(e.dims(), 12, 91)) {
+    for (const Plan* plan : e.pool().plans()) {
+      ExpectSubtreeCostsMatch(e.optimizer(), *plan, q);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Q91, PlanSetCosterSuiteTest,
+                         ::testing::Values("3D_Q91", "4D_Q91", "5D_Q91"));
 
 }  // namespace
 }  // namespace robustqp
